@@ -29,10 +29,11 @@ test:
 # chaos tests (trace_chaos_test.go), so the merged-tree conservation
 # invariant runs under the race detector here. The copy-on-write B-tree
 # (concurrent readers of a shared immutable tree during fork mutation)
-# rides along. CI additionally runs `go test -race ./...` over the
-# whole module.
+# rides along, as does the in-place B+tree (parallel Get/Scan on pinned
+# frames while a small pool evicts and recycles frames mid-scan). CI
+# additionally runs `go test -race ./...` over the whole module.
 race:
-	$(GO) test -race ./internal/dirserver/ ./internal/faultnet/ ./internal/core/ ./internal/pager/ ./internal/obs/ ./internal/engine/ ./internal/extsort/ ./internal/durable/ ./internal/faultfs/ ./internal/vindex/ ./internal/store/ ./internal/qstats/ ./internal/planner/ ./internal/cowtree/
+	$(GO) test -race ./internal/dirserver/ ./internal/faultnet/ ./internal/core/ ./internal/pager/ ./internal/obs/ ./internal/engine/ ./internal/extsort/ ./internal/durable/ ./internal/faultfs/ ./internal/vindex/ ./internal/store/ ./internal/qstats/ ./internal/planner/ ./internal/cowtree/ ./internal/btree/
 
 # Short-budget fuzzing of the parser/matcher surfaces that each carry a
 # differential oracle: the wildcard matcher vs a reference matcher and
@@ -41,8 +42,9 @@ race:
 # paths (checksum envelopes, the manifest, and the full snapshot open
 # path must never panic or overallocate on hostile bytes), and the
 # LDIF binary-vector round trip (base64 wire form and textual form
-# must both be bit-lossless). CI runs this on every push; longer local
-# runs just raise FUZZTIME.
+# must both be bit-lossless), and the B+tree page reader (hostile page
+# bytes through Get/Scan/Insert/Delete must never panic or loop). CI
+# runs this on every push; longer local runs just raise FUZZTIME.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/filter/ -run=^$$ -fuzz=FuzzWildcardMatch -fuzztime=$(FUZZTIME)
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzManifest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzOpenSnapshot -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cowtree/ -run=^$$ -fuzz=FuzzNodeRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/btree/ -run=^$$ -fuzz=FuzzPage -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ldif/ -run=^$$ -fuzz=FuzzVectorRoundTrip -fuzztime=$(FUZZTIME)
 
 # The kill -9 soak: a child dirserve under a live write stream is

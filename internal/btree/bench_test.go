@@ -13,6 +13,7 @@ func BenchmarkInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tr.Insert([]byte(fmt.Sprintf("key%09d", i)), []byte("v")); err != nil {
@@ -33,6 +34,7 @@ func BenchmarkGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.Get([]byte(fmt.Sprintf("key%09d", i%n))); err != nil {
@@ -52,6 +54,7 @@ func BenchmarkScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0

@@ -131,6 +131,75 @@ func TestUpdateEntriesMatchesUpdate(t *testing.T) {
 	}
 }
 
+// TestUpdateEntriesRemovesRepeatedPair: entries holding one (attribute,
+// value) pair twice — one built into the master list, one added through
+// the fast path — must be removable through UpdateEntries, leaving the
+// same answers as a directory rebuilt without them.
+func TestUpdateEntriesRemovesRepeatedPair(t *testing.T) {
+	const twiceDN = "uid=twice, ou=userProfiles, dc=research, dc=att, dc=com"
+	b := NewBuilder(model.DefaultSchema()).
+		MustAdd("dc=com", "dcObject").
+		MustAdd("dc=att, dc=com", "dcObject").
+		MustAdd("dc=research, dc=att, dc=com", "dcObject").
+		MustAdd("ou=userProfiles, dc=research, dc=att, dc=com", "organizationalUnit")
+	for i := 0; i < 200; i++ {
+		if err := b.AddEntry(fmt.Sprintf("uid=u%04d, ou=userProfiles, dc=research, dc=att, dc=com", i),
+			[]string{"inetOrgPerson"}, [2]string{"surName", fmt.Sprintf("surname%d", i%17)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddEntry(twiceDN, []string{"inetOrgPerson"},
+		[2]string{"surName", "echo"}, [2]string{"surName", "echo"}); err != nil {
+		t.Fatal(err)
+	}
+	fast, err := b.Build(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := personOp(t, fast, "u9000", "echo")
+	added.Add.Add("surName", model.String("echo"))
+	if err := fast.UpdateEntries(added); err != nil {
+		t.Fatal(err)
+	}
+	if err := fast.UpdateEntries(store.EntryOp{Remove: model.MustParseDN(twiceDN)}, removeOp(t, "u9000")); err != nil {
+		t.Fatalf("removing entries with a repeated pair: %v", err)
+	}
+	rebuilt := peopleDirectory(t, 0, Options{})
+	err = rebuilt.Update(func(in *model.Instance) error {
+		for i := 0; i < 200; i++ {
+			if err := in.Add(personOp(t, rebuilt, fmt.Sprintf("u%04d", i), fmt.Sprintf("surname%d", i%17)).Add); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Count() != rebuilt.Count() {
+		t.Fatalf("count %d, rebuilt %d", fast.Count(), rebuilt.Count())
+	}
+	for _, q := range []string{
+		"(dc=com ? sub ? surName=echo)",
+		"(dc=com ? sub ? surName=e*)",
+		"(dc=com ? sub ? surName=surname3)",
+		"(dc=com ? sub ? objectClass=inetOrgPerson)",
+		"(" + twiceDN + " ? base ? objectClass=*)",
+	} {
+		a, err := fast.Search(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		r, err := rebuilt.Search(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if fmt.Sprint(a.DNs()) != fmt.Sprint(r.DNs()) {
+			t.Errorf("%s:\n fast    %v\n rebuilt %v", q, a.DNs(), r.DNs())
+		}
+	}
+}
+
 // TestUpdateEntriesFailureAtomic: any bad op in the batch leaves the
 // directory untouched — same generation, same disk, same answers.
 func TestUpdateEntriesFailureAtomic(t *testing.T) {

@@ -278,3 +278,65 @@ func TestPoolFlush(t *testing.T) {
 		t.Fatal("flush did not persist dirty frame")
 	}
 }
+
+// TestPoolRecyclesFrames: a full pool reuses its evicted frame for the
+// next miss — no fresh buffer — and the reused memory never leaks the
+// old page's bytes: a miss reads the new page whole and Alloc zeroes.
+func TestPoolRecyclesFrames(t *testing.T) {
+	d := NewDisk(64)
+	var ids []PageID
+	for i := 0; i < 3; i++ {
+		id, _ := d.Alloc()
+		if err := d.Write(id, bytes.Repeat([]byte{byte(i + 1)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	short, _ := d.Alloc()
+	if err := d.Write(short, []byte{9}); err != nil { // the rest reads as zeroes
+		t.Fatal(err)
+	}
+	p := NewPool(d, 1)
+	f, err := p.Get(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(f)
+	first := f
+	for _, id := range append(ids[1:], short) {
+		g, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g != first {
+			t.Fatal("miss on a full pool did not reuse the evicted frame")
+		}
+		want := make([]byte, 64)
+		if err := d.Read(id, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Data, want) {
+			t.Fatalf("page %d read through a recycled frame = %v, want %v", id, g.Data, want)
+		}
+		p.Unpin(g)
+	}
+	a, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Data, make([]byte, 64)) {
+		t.Fatalf("Alloc through a recycled frame = %v, want zeroes", a.Data)
+	}
+	p.Unpin(a)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, id := range ids {
+			g, err := p.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(g)
+		}
+	}); allocs != 0 {
+		t.Errorf("pool misses allocate %.1f times, want 0", allocs)
+	}
+}

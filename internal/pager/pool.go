@@ -9,7 +9,10 @@ import (
 
 // Frame is a buffered page held by a Pool. Callers pin a frame while
 // using its Data and must Unpin it afterwards; SetDirty marks it for
-// write-back on eviction or flush.
+// write-back on eviction or flush. Data is valid only while the frame
+// is pinned: once unpinned, the pool may evict the frame and reuse the
+// Frame and its memory for another page, so a caller that needs bytes
+// past Unpin copies them first.
 type Frame struct {
 	ID    PageID
 	Data  []byte
@@ -98,23 +101,36 @@ func (p *Pool) Alloc() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	clear(f.Data)
 	f.dirty = true
 	return f, nil
 }
 
+// admit returns a pinned frame for page id, with unspecified contents.
+// A full pool recycles its least recently used unpinned frame — the
+// Frame, its list element and its page buffer — so a warm pool
+// allocates nothing on a miss.
 func (p *Pool) admit(id PageID) (*Frame, error) {
+	var f *Frame
 	if len(p.frames) >= p.cap {
-		if err := p.evictOne(); err != nil {
+		var err error
+		if f, err = p.evictOne(); err != nil {
 			return nil, err
 		}
+		delete(p.frames, f.ID)
+		f.ID, f.pins, f.dirty = id, 1, false
+		p.lru.MoveToFront(f.elem)
+	} else {
+		f = &Frame{ID: id, Data: make([]byte, p.disk.PageSize()), pins: 1}
+		f.elem = p.lru.PushFront(f)
 	}
-	f := &Frame{ID: id, Data: make([]byte, p.disk.PageSize()), pins: 1}
-	f.elem = p.lru.PushFront(f)
 	p.frames[id] = f
 	return f, nil
 }
 
-func (p *Pool) evictOne() error {
+// evictOne writes back the least recently used unpinned frame if dirty
+// and returns it, still mapped, for admit to reuse.
+func (p *Pool) evictOne() (*Frame, error) {
 	for e := p.lru.Back(); e != nil; e = e.Prev() {
 		f := e.Value.(*Frame)
 		if f.pins > 0 {
@@ -122,13 +138,12 @@ func (p *Pool) evictOne() error {
 		}
 		if f.dirty {
 			if err := p.disk.Write(f.ID, f.Data); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		p.discard(f)
-		return nil
+		return f, nil
 	}
-	return ErrPoolFull
+	return nil, ErrPoolFull
 }
 
 func (p *Pool) discard(f *Frame) {

@@ -205,12 +205,20 @@ func (s *Store) applyRemove(dn model.DN) error {
 		return err
 	}
 	if s.attr != nil {
+		// A pair the entry holds twice maps both copies to one composite
+		// key: delete each key once, but unobserve every pair, as Build
+		// and applyAdd observe every pair.
+		deleted := make(map[string]bool)
 		for _, av := range rec.Entry.Pairs() {
 			if av.Value.Kind() == model.KindVector {
 				continue
 			}
-			if err := s.attr.Delete(compositeKey(av.Attr, ordValue(av.Value), key)); err != nil {
-				return err
+			ck := compositeKey(av.Attr, ordValue(av.Value), key)
+			if !deleted[string(ck)] {
+				if err := s.attr.Delete(ck); err != nil {
+					return err
+				}
+				deleted[string(ck)] = true
 			}
 			s.stats.unobserve(av.Attr, av.Value)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -239,5 +240,91 @@ func TestApplyOpsTouchesFewPages(t *testing.T) {
 	}
 	if dirty*10 > total {
 		t.Errorf("single add dirtied %d of %d pages; a delta buys nothing", dirty, total)
+	}
+}
+
+// TestApplyOpsRemovesRepeatedPair: an entry may hold one (attribute,
+// value) pair twice, and both copies map to one composite index key.
+// Removing such an entry — master-resident or overlay-resident — must
+// delete that key once and leave answers, the attribute index and its
+// statistics equal to a rebuild's.
+func TestApplyOpsRemovesRepeatedPair(t *testing.T) {
+	in := buildTestInstance(t, 30)
+	twice := func(dn string) *model.Entry {
+		e, err := model.NewEntryFromDN(in.Schema(), model.MustParseDN(dn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AddClass("QHP")
+		e.Add("priority", model.Int(5))
+		e.Add("daysOfWeek", model.Int(3))
+		e.Add("daysOfWeek", model.Int(3))
+		return e
+	}
+	resident := twice("QHPName=q7, uid=u0001, ou=userProfiles, dc=research, dc=att, dc=com")
+	if err := in.Add(resident); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Build(pager.NewDisk(pager.DefaultPageSize), in, Options{AttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := twice("QHPName=q8, uid=u0002, ou=userProfiles, dc=research, dc=att, dc=com")
+	st, err = st.ApplyOps(st.Disk().Fork(), []EntryOp{{Add: added}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = st.ApplyOps(st.Disk().Fork(), []EntryOp{{Remove: resident.DN()}, {Remove: added.DN()}})
+	if err != nil {
+		t.Fatalf("removing entries with a repeated pair: %v", err)
+	}
+	if !in.Remove(resident.DN()) {
+		t.Fatal("oracle remove failed")
+	}
+	rebuilt, err := Build(pager.NewDisk(pager.DefaultPageSize), in, Options{AttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append([]string{"(dc=com ? sub ? daysOfWeek=3)", "(dc=com ? sub ? priority=5)"}, overlayCases...)
+	for _, c := range cases {
+		q := query.MustParse(c).(*query.Atomic)
+		want := oracle(in, q)
+		for _, s := range []*Store{st, rebuilt} {
+			for _, path := range []string{PathScan, PathIndex} {
+				l, err := s.EvalPath(q, path)
+				if err != nil {
+					t.Fatalf("%s path=%s: %v", c, path, err)
+				}
+				if got := keysOf(t, l); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s path=%s (rebuilt %v):\n got %v\nwant %v", c, path, s == rebuilt, got, want)
+				}
+			}
+		}
+	}
+	indexKeys := func(s *Store) []string {
+		var keys []string
+		if err := s.attr.Scan(nil, nil, func(k, _ []byte) bool {
+			keys = append(keys, string(k))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	if got, want := indexKeys(st), indexKeys(rebuilt); fmt.Sprint(got) != fmt.Sprint(want) || st.attr.Len() != len(want) {
+		t.Errorf("attribute index: %d keys (Len %d), rebuild has %d", len(got), st.attr.Len(), len(want))
+	}
+	for _, a := range []string{"daysofweek", "priority"} {
+		got, want := st.stats.attrs[a], rebuilt.stats.attrs[a]
+		if got == nil || want == nil {
+			t.Fatalf("%s: no statistics (%v, %v)", a, got, want)
+		}
+		gi := append([]int64(nil), got.intVals...)
+		wi := append([]int64(nil), want.intVals...)
+		sort.Slice(gi, func(i, j int) bool { return gi[i] < gi[j] })
+		sort.Slice(wi, func(i, j int) bool { return wi[i] < wi[j] })
+		if got.postings != want.postings || fmt.Sprint(gi) != fmt.Sprint(wi) {
+			t.Errorf("%s statistics: %d postings %v, rebuild %d %v", a, got.postings, gi, want.postings, wi)
+		}
 	}
 }
